@@ -88,6 +88,8 @@ func TestDocsMentionCode(t *testing.T) {
 		"-max-concurrent-checks", "Retry-After", "mvrc_shed_requests_total",
 		"-request-timeout", "PanicError", "mvrc_panics_total",
 		"BenchmarkServerOverhead",
+		"leafEval", "TestLeafEvaluatorMatchesSchedule",
+		"TestLeafEvaluationAllocs", "BenchmarkFindNonSerializable",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("ARCHITECTURE.md no longer mentions %q — update the doc with the code", want)

@@ -105,6 +105,37 @@ func TestCertifyBudgetReason(t *testing.T) {
 	}
 }
 
+// TestCertifyDeterministic certifies a TPC-C cell three times from fresh
+// sessions: status, reason, candidate, explored count and schedule must
+// be identical. {NO, OS, SL} under attr dep once answered certified on
+// some sweeps and budget on others, because the extra instances of its
+// candidates were appended in map-iteration order.
+func TestCertifyDeterministic(t *testing.T) {
+	b := benchmarks.TPCC()
+	cfg := analysis.Config{Setting: summary.SettingAttrDep, Method: summary.TypeII}
+	ps := programsOf(t, b, "NO", "OS", "SL")
+	budget := 10_000
+	if raceEnabled {
+		budget = 500
+	}
+	var first string
+	for i := 0; i < 3; i++ {
+		res, err := Subset(context.Background(), analysis.NewSession(b.Schema), cfg, ps, Options{MaxSchedules: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fmt.Sprintf("%s|%s|%d|%d", res.Status, res.Reason, res.Candidates, res.Explored)
+		if c := res.Certificate; c != nil {
+			got += "|" + c.Candidate + "|" + c.Schedule.String()
+		}
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("certification %d differs:\n got  %s\n want %s", i+1, got, first)
+		}
+	}
+}
+
 // TestCertifyAllBenchmarksAllSettings is the pipeline's acceptance sweep:
 // for SmallBank, Auction and TPC-C under each of the four analysis
 // settings, every statically non-robust subset must either produce a

@@ -8,8 +8,11 @@
 // The search space is every interleaving of a given set of instantiated
 // transactions that (a) respects per-transaction order, (b) respects atomic
 // chunks, and (c) is free of dirty writes; reads are assigned
-// read-last-committed versions, so every completed interleaving is allowed
-// under MVRC by construction.
+// read-last-committed versions. A completed interleaving is admissible
+// when, in addition, every plain read observes a visible version and each
+// tuple's insert and delete come first and last among its writes; the
+// dense leaf evaluator (leaf.go) decides that and serializability for
+// every leaf without building a schedule.Schedule.
 package enumerate
 
 import (
@@ -73,143 +76,169 @@ func FindNonSerializableCtx(ctx context.Context, schema *relschema.Schema, txns 
 			return nil, fmt.Errorf("enumerate: %w", err)
 		}
 	}
-	res := &Result{Exhausted: true}
-
-	n := len(txns)
-	next := make([]int, n)                    // next operation index per transaction
-	inChunk := -1                             // transaction currently inside a chunk, or -1
-	uncommitted := map[schedule.TupleID]int{} // tuple -> txn index holding an uncommitted write
-	order := make([]*schedule.Op, 0)
-
-	chunkOf := func(t *schedule.Transaction, opIdx int) (schedule.Chunk, bool) {
-		for _, c := range t.Chunks {
-			if c.From <= opIdx && opIdx <= c.To {
-				return c, true
-			}
-		}
-		return schedule.Chunk{}, false
+	ev := newLeafEval(txns)
+	s := &search{
+		ctx:    ctx,
+		schema: schema,
+		ev:     ev,
+		budget: budget,
+		res:    &Result{Exhausted: true},
+		next:   make([]int, len(txns)),
+		holder: make([]int32, len(ev.init)),
+		order:  make([]int32, 0, len(ev.ops)),
 	}
-
-	// The DFS polls the context on its first node and once every 4096
-	// thereafter: cheap relative to schedule assembly, frequent enough
-	// that cancellation lands within microseconds.
-	var steps int
-	cancelled := false
-
-	var dfs func() bool
-	dfs = func() bool {
-		steps++
-		if steps&4095 == 1 && ctx.Err() != nil {
-			cancelled = true
-			return true
-		}
-		if len(order) == totalOps(txns) {
-			res.Explored++
-			s, err := schedule.FromOrder(schema, txns, order)
-			if err != nil {
-				panic(fmt.Sprintf("enumerate: internal: %v", err))
-			}
-			// Dirty writes and chunk violations are pruned during the
-			// search, but visibility can only be checked on the complete
-			// schedule: a read observing an unborn or dead version (e.g. a
-			// tuple read before its insert commits) makes the interleaving
-			// inadmissible under MVRC.
-			if !s.AllowedUnderMVRC() {
-				if res.Explored >= budget {
-					res.Exhausted = false
-					return true
-				}
-				return false
-			}
-			g := seg.Build(s)
-			if !g.IsConflictSerializable() {
-				res.Found = true
-				// Copy the order: the slice is mutated as DFS unwinds.
-				res.Schedule, _ = schedule.FromOrder(schema, txns, append([]*schedule.Op(nil), order...))
-				res.Graph = seg.Build(res.Schedule)
-				return true
-			}
-			if res.Explored >= budget {
-				res.Exhausted = false
-				return true
-			}
-			return false
-		}
-		for ti, t := range txns {
-			if inChunk >= 0 && inChunk != ti {
-				continue
-			}
-			oi := next[ti]
-			if oi >= len(t.Ops) {
-				continue
-			}
-			op := t.Ops[oi]
-			// Dirty-write pruning: a write on a tuple with an uncommitted
-			// write from another transaction is not allowed under MVRC.
-			if op.IsWrite() {
-				if holder, ok := uncommitted[op.TupleRef]; ok && holder != ti {
-					continue
-				}
-			}
-			// Apply.
-			savedChunk := inChunk
-			var releasedTuples []schedule.TupleID
-			if op.IsWrite() {
-				if _, ok := uncommitted[op.TupleRef]; !ok {
-					uncommitted[op.TupleRef] = ti
-					releasedTuples = append(releasedTuples, op.TupleRef)
-				}
-			}
-			if op.Kind == schedule.OpCommit {
-				for tu, holder := range uncommitted {
-					if holder == ti {
-						releasedTuples = append(releasedTuples, tu)
-						delete(uncommitted, tu)
-					}
-				}
-			}
-			if c, ok := chunkOf(t, oi); ok && oi < c.To {
-				inChunk = ti
-			} else {
-				inChunk = -1
-			}
-			next[ti]++
-			order = append(order, op)
-
-			stop := dfs()
-
-			// Undo.
-			order = order[:len(order)-1]
-			next[ti]--
-			inChunk = savedChunk
-			if op.Kind == schedule.OpCommit {
-				for _, tu := range releasedTuples {
-					uncommitted[tu] = ti
-				}
-			} else if op.IsWrite() {
-				for _, tu := range releasedTuples {
-					delete(uncommitted, tu)
-				}
-			}
-			if stop {
-				return true
-			}
-		}
-		return false
+	for tu := range s.holder {
+		s.holder[tu] = -1
 	}
-	dfs()
-	if cancelled {
+	s.inChunk = -1
+	s.dfs()
+	if s.cancelled {
 		return nil, ctx.Err()
 	}
-	return res, nil
+	if s.err != nil {
+		return nil, s.err
+	}
+	return s.res, nil
 }
 
-func totalOps(txns []*schedule.Transaction) int {
-	n := 0
-	for _, t := range txns {
-		n += len(t.Ops)
+// leafOracle, when non-nil, receives every complete interleaving together
+// with the dense evaluator's verdict on it. Tests install a cross-check
+// against the schedule-based definitions through it (export_test.go);
+// production code never sets it.
+var leafOracle func(schema *relschema.Schema, txns []*schedule.Transaction, order []*schedule.Op, allowed, serializable bool)
+
+// search is the state of one bounded DFS over the interleavings of a
+// transaction set. Operations and tuples are the dense ids of ev.
+type search struct {
+	ctx    context.Context
+	schema *relschema.Schema
+	ev     *leafEval
+	budget int
+	res    *Result
+	err    error
+
+	next    []int   // next operation index per transaction
+	inChunk int     // transaction currently inside a chunk, or -1
+	holder  []int32 // per tuple: transaction holding an uncommitted write, or -1
+	order   []int32 // the interleaving so far, as op ids
+
+	// The DFS polls the context on its first node and once every 4096
+	// thereafter: cheap relative to a leaf evaluation, frequent enough
+	// that cancellation lands within microseconds.
+	steps     int
+	cancelled bool
+}
+
+// dfs extends the current prefix by every admissible next operation, in
+// transaction order; it returns true when the search must stop (found,
+// budget spent, cancelled or failed).
+func (s *search) dfs() bool {
+	s.steps++
+	if s.steps&4095 == 1 && s.ctx.Err() != nil {
+		s.cancelled = true
+		return true
 	}
-	return n
+	ev := s.ev
+	if len(s.order) == len(ev.ops) {
+		return s.leaf()
+	}
+	for ti, t := range ev.txns {
+		if s.inChunk >= 0 && s.inChunk != ti {
+			continue
+		}
+		oi := s.next[ti]
+		if oi >= len(t.Ops) {
+			continue
+		}
+		o := ev.base[ti] + oi
+		kind := ev.ops[o].Kind
+		// Dirty-write pruning: a write on a tuple with an uncommitted
+		// write from another transaction is not allowed under MVRC.
+		acquired := int32(-1)
+		if kind.IsWrite() {
+			tu := ev.tuple[o]
+			if h := s.holder[tu]; h >= 0 {
+				if int(h) != ti {
+					continue
+				}
+			} else {
+				s.holder[tu] = int32(ti)
+				acquired = tu
+			}
+		}
+		// A commit releases every tuple its transaction wrote: each of
+		// them is held by it, since a write on a tuple held by another
+		// transaction was pruned above.
+		if kind == schedule.OpCommit {
+			for _, tu := range ev.txnWritten[ti] {
+				s.holder[tu] = -1
+			}
+		}
+		savedChunk := s.inChunk
+		if ev.chunkOpen[o] {
+			s.inChunk = ti
+		} else {
+			s.inChunk = -1
+		}
+		s.next[ti]++
+		s.order = append(s.order, int32(o))
+
+		stop := s.dfs()
+
+		// Undo.
+		s.order = s.order[:len(s.order)-1]
+		s.next[ti]--
+		s.inChunk = savedChunk
+		if kind == schedule.OpCommit {
+			for _, tu := range ev.txnWritten[ti] {
+				s.holder[tu] = int32(ti)
+			}
+		} else if acquired >= 0 {
+			s.holder[acquired] = -1
+		}
+		if stop {
+			return true
+		}
+	}
+	return false
+}
+
+// leaf examines one complete interleaving. The dense evaluator decides
+// admissibility — dirty writes and chunk violations are already pruned by
+// the DFS, but a read observing an unborn or dead version (e.g. a tuple
+// read before its insert commits), or an insert or delete out of place in
+// its tuple's write order, makes the interleaving inadmissible under MVRC —
+// and then serializability. A hit is rebuilt as a schedule.Schedule and
+// re-verified against the schedule-based definitions before it is
+// returned.
+func (s *search) leaf() bool {
+	s.res.Explored++
+	ev := s.ev
+	allowed := ev.allowed(s.order)
+	if leafOracle != nil {
+		leafOracle(s.schema, ev.txns, ev.schedOrder(s.order), allowed, ev.serializable())
+	}
+	if allowed && !ev.serializable() {
+		sched, err := schedule.FromOrder(s.schema, ev.txns, ev.schedOrder(s.order))
+		if err != nil {
+			s.err = fmt.Errorf("enumerate: internal: %w", err)
+			return true
+		}
+		g := seg.Build(sched)
+		if !sched.AllowedUnderMVRC() || g.IsConflictSerializable() {
+			s.err = fmt.Errorf("enumerate: internal: leaf evaluator and schedule disagree on %s", sched)
+			return true
+		}
+		s.res.Found = true
+		s.res.Schedule = sched
+		s.res.Graph = g
+		return true
+	}
+	if s.res.Explored >= s.budget {
+		s.res.Exhausted = false
+		return true
+	}
+	return false
 }
 
 // Instance describes one transaction to instantiate for the search: an LTP

@@ -140,18 +140,22 @@ func Witness(s *relschema.Schema, w *summary.Witness, opts Options) (*Result, er
 }
 
 // witnessLTPs lists the LTP instances a witness cycle demands: one per
-// cycle edge, plus (optionally) one extra per distinct program.
+// cycle edge, plus (optionally) one extra per distinct program, in the
+// order the programs first appear on the cycle. The order fixes the
+// transaction ids and so the search order: it must not depend on map
+// iteration, or certification outcomes would vary between runs.
 func witnessLTPs(w *summary.Witness, extra bool) []*btp.LTP {
-	var ltps []*btp.LTP
-	seen := map[*btp.LTP]int{}
+	var ltps, distinct []*btp.LTP
+	seen := map[*btp.LTP]bool{}
 	for _, e := range w.Cycle {
 		ltps = append(ltps, e.From)
-		seen[e.From]++
+		if !seen[e.From] {
+			seen[e.From] = true
+			distinct = append(distinct, e.From)
+		}
 	}
 	if extra {
-		for l := range seen {
-			ltps = append(ltps, l)
-		}
+		ltps = append(ltps, distinct...)
 	}
 	return ltps
 }

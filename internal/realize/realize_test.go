@@ -1,6 +1,7 @@
 package realize
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -220,5 +221,30 @@ func TestRealizeRejectsEmptyWitness(t *testing.T) {
 	}
 	if _, err := Witness(b.Schema, &summary.Witness{}, Options{}); err == nil {
 		t.Fatal("empty witness accepted")
+	}
+}
+
+// TestWitnessLTPsOrder pins the instance order of a witness: one LTP per
+// cycle edge, then (with extra instances) each distinct LTP once in the
+// order it first appears on the cycle. The order fixes transaction ids and
+// so the search order; it is checked repeatedly because an order drawn
+// from map iteration would only differ on some runs.
+func TestWitnessLTPsOrder(t *testing.T) {
+	a, b, c := &btp.LTP{Name: "A"}, &btp.LTP{Name: "B"}, &btp.LTP{Name: "C"}
+	w := &summary.Witness{Cycle: []summary.Edge{{From: b, To: a}, {From: a, To: c}, {From: c, To: a}, {From: a, To: b}}}
+	names := func(ls []*btp.LTP) string {
+		var s []string
+		for _, l := range ls {
+			s = append(s, l.Name)
+		}
+		return strings.Join(s, ",")
+	}
+	for i := 0; i < 50; i++ {
+		if got := names(witnessLTPs(w, false)); got != "B,A,C,A" {
+			t.Fatalf("witnessLTPs(extra=false) = %s, want B,A,C,A", got)
+		}
+		if got := names(witnessLTPs(w, true)); got != "B,A,C,A,B,A,C" {
+			t.Fatalf("witnessLTPs(extra=true) = %s, want B,A,C,A,B,A,C", got)
+		}
 	}
 }

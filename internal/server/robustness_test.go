@@ -377,6 +377,76 @@ func TestCloseFlushesDirtyWorkloads(t *testing.T) {
 	}
 }
 
+// gatedFS holds the first Create after arm until release is closed,
+// signalling entered when it starts waiting: a seam that parks the
+// background flusher in the middle of a round.
+type gatedFS struct {
+	faultfs.FS
+	armed   sync.Once
+	active  chan struct{} // closed by arm
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newGatedFS(inner faultfs.FS) *gatedFS {
+	return &gatedFS{FS: inner, active: make(chan struct{}), entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedFS) arm() { close(g.active) }
+
+func (g *gatedFS) Create(name string) (faultfs.File, error) {
+	select {
+	case <-g.active:
+		g.armed.Do(func() {
+			close(g.entered)
+			<-g.release
+		})
+	default:
+	}
+	return g.FS.Create(name)
+}
+
+// TestCloseWaitsForFlusher parks the background flusher inside a snapshot
+// write, then closes the server: Close must wait for that round, so the
+// filesystem sees no operation after Close returns.
+func TestCloseWaitsForFlusher(t *testing.T) {
+	inj := faultfs.NewInjector(faultfs.OS{})
+	gate := newGatedFS(inj)
+	s := New(Options{StateDir: t.TempDir(), SnapshotFS: gate, FlushInterval: 2 * time.Millisecond})
+	bench := benchmarks.SmallBank()
+	reg, err := s.Register(bench.Schema, bench.Programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate.arm()
+	s.markDirty(s.reg.peek(reg.ID))
+	select {
+	case <-gate.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the flusher never started a snapshot write")
+	}
+
+	opsAtClose := make(chan uint64, 1)
+	go func() {
+		if err := s.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		opsAtClose <- inj.Ops()
+	}()
+	// Close must still be waiting while the flusher is parked mid-write.
+	select {
+	case <-opsAtClose:
+		close(gate.release)
+		t.Fatal("Close returned while the flusher was inside a snapshot write")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate.release)
+	n := <-opsAtClose
+	if after := inj.Ops(); after != n {
+		t.Fatalf("%d filesystem operations after Close returned", after-n)
+	}
+}
+
 // TestConcurrentPatchWithFailingFlusher is the -race hammer of the retry
 // path: concurrent PATCHes and checks race the background flusher while
 // every other snapshot write fails, exercising dirtyMu/failedPersist and

@@ -190,6 +190,9 @@ type Server struct {
 	// it so the leader's disconnect does not abort followers' work.
 	base       context.Context
 	baseCancel context.CancelFunc
+	// flushDone is closed when the background flusher has exited; nil when
+	// persistence is off and no flusher runs.
+	flushDone chan struct{}
 
 	// snap is the snapshot store when Options.StateDir is set, nil
 	// otherwise. stateLoaded/stateSkipped/stateErr describe the boot-time
@@ -313,6 +316,7 @@ func New(opts Options) *Server {
 		s.loadState(opts.StateDir)
 	}
 	if s.snap != nil {
+		s.flushDone = make(chan struct{})
 		go s.flushLoop()
 	}
 	s.handle("GET /healthz", epHealthz, s.handleHealthz)
@@ -480,6 +484,7 @@ func (s *Server) markDirty(w *workload) {
 // first clean round restores the cadence and clears the flag. Only
 // started when persistence is enabled.
 func (s *Server) flushLoop() {
+	defer close(s.flushDone)
 	interval := s.opts.FlushInterval
 	consecutive := 0
 	t := time.NewTimer(interval)
@@ -565,11 +570,17 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // retried with short backoff; if dirty workloads still cannot be
 // persisted the error says how many — their cached results exist only in
 // this process's memory, so callers exiting afterwards should surface the
-// loss (cmd/robustserved exits non-zero). Registered workloads (and their
-// caches) are simply garbage once the Server is unreferenced.
+// loss (cmd/robustserved exits non-zero). Close first waits for the
+// background flusher to exit, so a round it had in flight finishes before
+// the final flush and no flusher write lands after Close returns.
+// Registered workloads (and their caches) are simply garbage once the
+// Server is unreferenced.
 func (s *Server) Close() error {
 	s.BeginDrain()
 	s.baseCancel()
+	if s.flushDone != nil {
+		<-s.flushDone
+	}
 	var failed int
 	for attempt := 1; ; attempt++ {
 		if failed = s.flushRound(); failed == 0 {
